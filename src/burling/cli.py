@@ -39,7 +39,6 @@ from .sequential import EXACT_BUDGET_DEFAULT, nobility
 from .structure import (
     analyze_hole,
     decompose,
-    full_in_star_cutsets,
     full_star_cutsets,
     serialize_decomposition,
     top_set,
@@ -67,14 +66,18 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _int(raw: str, what: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(f"{what} must be an integer, got {raw!r}")
+
+
 def _default_budget() -> int:
     raw = os.environ.get("BURLING_BUDGET")
     if raw is None:
         return EXACT_BUDGET_DEFAULT
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"BURLING_BUDGET must be an integer, got {raw!r}")
+    return _int(raw, "BURLING_BUDGET")
 
 
 def _first_meaningful_line(text: str) -> str:
@@ -140,10 +143,7 @@ def _cmd_recognize(args) -> int:
     g = parse_graph(_read(args.graph))
     try:
         verdict = recognize(
-            g,
-            budget=args.budget,
-            obstructions_only=args.obstructions_only,
-            threads=args.threads,
+            g, budget=args.budget, obstructions_only=args.obstructions_only
         )
     except BudgetExceededError as exc:
         print(f"INCONCLUSIVE {exc}")
@@ -181,11 +181,7 @@ def _parse_expand_step(token: str) -> ExpandStep:
             f"expand steps look like 'u>v:bottom:3', got {token!r}"
         )
     u, _, v = parts[0].partition(">")
-    try:
-        length = int(parts[2])
-    except ValueError:
-        raise ValidationError(f"expand length must be an integer, got {parts[2]!r}")
-    return ExpandStep(u, v, parts[1], length)
+    return ExpandStep(u, v, parts[1], _int(parts[2], "expand length"))
 
 
 def _cmd_transform(args) -> int:
@@ -259,12 +255,7 @@ def _cmd_analyze(args) -> int:
     for hole in enumerate_holes(g, budget=args.budget):
         lines.append(_hole_line(g, hole))
     lines.append("cutsets")
-    cuts = (
-        full_in_star_cutsets(g)
-        if isinstance(g, OrientedGraph)
-        else full_star_cutsets(g)
-    )
-    for center, comps in cuts:
+    for center, comps in full_star_cutsets(g):
         parts = "|".join(",".join(sorted(c)) for c in comps)
         lines.append(f"cutset center={center} components={parts}")
     sys.stdout.write("\n".join(lines) + "\n")
@@ -294,15 +285,19 @@ def _cmd_gen(args) -> int:
     if family == "wheel":
         if len(params) != 2:
             raise ValidationError("gen wheel takes: rim-length spoke,positions")
-        obj = gen_wheel(int(params[0]), _int_list(params[1], "spoke positions"))
+        obj = gen_wheel(
+            _int(params[0], "rim length"), _int_list(params[1], "spoke positions")
+        )
     elif family == "theta":
         if len(params) != 3:
             raise ValidationError("gen theta takes: l1 l2 l3")
-        obj = gen_theta(int(params[0]), int(params[1]), int(params[2]))
+        obj = gen_theta(*(_int(p, "path length") for p in params))
     elif family == "flower":
         if len(params) != 2:
             raise ValidationError("gen flower takes: core-length petal,lengths")
-        obj = gen_flower(int(params[0]), _int_list(params[1], "petal lengths"))
+        obj = gen_flower(
+            _int(params[0], "core length"), _int_list(params[1], "petal lengths")
+        )
     elif family == "k4-subdivision":
         if len(params) != 1:
             raise ValidationError(
@@ -350,7 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--obstructions-only", action="store_true")
     p.add_argument("--cert", default=None, metavar="PATH")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_recognize)
 
     p = sub.add_parser("nobility", help="compute nobility")

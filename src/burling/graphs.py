@@ -95,9 +95,6 @@ class Graph:
     def degree(self, v) -> int:
         return len(self._adj[v])
 
-    def degree_profile(self) -> dict:
-        return {v: len(self._adj[v]) for v in sorted(self.vertices)}
-
     def induced_subgraph(self, keep) -> "Graph":
         keep = set(keep)
         missing = keep - set(self.vertices)
@@ -315,6 +312,21 @@ def enumerate_holes(g: Graph, budget: int = HOLE_BUDGET_DEFAULT) -> list:
                 extend([m, a], {m, a}, m)
     holes.sort(key=lambda h: (len(h), h))
     return holes
+
+
+def is_hole(g: Graph, hole) -> bool:
+    """Whether the vertex sequence is a hole of g (of its underlying graph
+    when g is oriented): at least four distinct vertices of g, adjacent
+    exactly when consecutive around the cycle."""
+    n = len(hole)
+    if n < 4 or len(set(hole)) != n or not set(hole) <= g.vertex_set:
+        return False
+    for i in range(n):
+        for k in range(i + 1, n):
+            consecutive = k - i == 1 or (i == 0 and k == n - 1)
+            if g.has_edge(hole[i], hole[k]) != consecutive:
+                return False
+    return True
 
 
 def hole_arcs(g: OrientedGraph, hole) -> list:

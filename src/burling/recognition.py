@@ -10,12 +10,11 @@ derivation, a negative one the exhausted search statistics.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import BudgetExceededError, ParseError
-from .graphs import Graph, OrientedGraph, enumerate_holes, underlying
+from .graphs import Graph, OrientedGraph, enumerate_holes, is_hole, underlying
 from .sequential import (
     EXACT_BUDGET_DEFAULT,
     _Searcher,
@@ -23,11 +22,14 @@ from .sequential import (
     find_sequential,
     tree_from_seq,
 )
-from .structure import chalopin_filter, chandelier_pivot_candidates
+from .structure import chalopin_filter, chandelier_pivot_candidates, hole_ends
 from .trees import check_derivation, parse_derivation, serialize_derivation
 
 CERT_VERSION = 1
-HOLE_CAP_DEFAULT = 5000
+# Hole pairs (or, for dumbbells, connector endpoint pairs) examined per
+# orientation by the domino, theta and dumbbell rules; the rules stop
+# looking once it is reached, so it bounds the work on hole-rich graphs.
+_PAIR_BOUND = 5000
 
 BURLING = "burling"
 NOT_BURLING = "not_burling"
@@ -85,19 +87,10 @@ class Verdict:
         return self.outcome == BURLING
 
 
-def _find_triangle(g: Graph):
-    g = underlying(g)
-    for u, v in sorted(g.edges):
-        common = sorted(g.neighbors(u) & g.neighbors(v))
-        if common:
-            return tuple(sorted((u, v, common[0])))
-    return None
-
-
-def find_wheel(g: Graph, hole_budget=None):
+def find_wheel(g: Graph):
     """Some hole plus a vertex outside it with >= 3 neighbors on it."""
     g = underlying(g)
-    holes = enumerate_holes(g, budget=hole_budget or len(g.vertices))
+    holes = enumerate_holes(g, budget=len(g.vertices))
     for hole in holes:
         on_hole = set(hole)
         for center in sorted(g.vertex_set - on_hole):
@@ -111,12 +104,12 @@ def _cyclic_edges(hole):
     return [tuple(sorted((hole[i], hole[(i + 1) % n]))) for i in range(n)]
 
 
-def find_flower(g: Graph, hole_budget=None, hole_cap: int = HOLE_CAP_DEFAULT):
+def find_flower(g: Graph):
     """A core hole with one petal hole per core edge, meeting the core in
     exactly that edge, meeting each other only in shared core vertices,
     and spanning no further edges."""
     g = underlying(g)
-    holes = enumerate_holes(g, budget=hole_budget or len(g.vertices))[:hole_cap]
+    holes = enumerate_holes(g, budget=len(g.vertices))
     for core in holes:
         core_set = set(core)
         edges = _cyclic_edges(core)
@@ -171,16 +164,6 @@ def _assign_petals(g, core, edges, candidates, i, chosen):
     return None
 
 
-def _hole_sources(g: OrientedGraph, hole):
-    n = len(hole)
-    out = set()
-    for i, v in enumerate(hole):
-        before, after = hole[i - 1], hole[(i + 1) % n]
-        if g.has_arc(v, before) and g.has_arc(v, after):
-            out.add(v)
-    return out
-
-
 def _induced_edges(g: Graph, vertices):
     return {frozenset(e) for e in g.induced_subgraph(set(vertices)).edges}
 
@@ -194,14 +177,14 @@ def _hole_edge_sets(*paths_or_holes):
     return out
 
 
-def _find_dominoes(g: Graph, holes, cap):
+def _find_dominoes(g: Graph, holes):
     """Pairs of holes sharing exactly one edge and nothing else."""
     found = []
     examined = 0
     for i in range(len(holes)):
         for j in range(i + 1, len(holes)):
             examined += 1
-            if examined > cap:
+            if examined > _PAIR_BOUND:
                 return found
             h1, h2 = holes[i], holes[j]
             shared = set(h1) & set(h2)
@@ -232,7 +215,7 @@ def _path_in_hole(hole, members):
     return None
 
 
-def _find_thetas(g: Graph, holes, cap):
+def _find_thetas(g: Graph, holes):
     """Hole pairs overlapping in a path of length >= 3 whose symmetric
     difference closes a third long hole: a long theta.  Returns
     (u, v, three holes) tuples."""
@@ -241,7 +224,7 @@ def _find_thetas(g: Graph, holes, cap):
     for i in range(len(holes)):
         for j in range(i + 1, len(holes)):
             examined += 1
-            if examined > cap:
+            if examined > _PAIR_BOUND:
                 return found
             h1, h2 = holes[i], holes[j]
             shared = set(h1) & set(h2)
@@ -290,7 +273,7 @@ def _detour(hole, u, v, avoid):
     return None
 
 
-def _find_dumbbells(g: Graph, holes, cap):
+def _find_dumbbells(g: Graph, holes):
     """Disjoint hole pairs joined by an induced path meeting them only at
     its endpoints, with no other edges between the parts."""
     found = []
@@ -304,7 +287,7 @@ def _find_dumbbells(g: Graph, holes, cap):
             for x in sorted(h1):
                 for y in sorted(h2):
                     examined += 1
-                    if examined > cap:
+                    if examined > _PAIR_BOUND:
                         return found
                     free = {
                         w
@@ -344,7 +327,7 @@ def _shortest_path(g: Graph, a, b):
     return path[::-1]
 
 
-def orientation_constraints(g: OrientedGraph, hole_cap: int = HOLE_CAP_DEFAULT):
+def orientation_constraints(g: OrientedGraph):
     """None when every hole-based constraint admits a consistent pivot
     choice; otherwise a violation certifying that g, as oriented, is not
     derivable.
@@ -355,7 +338,7 @@ def orientation_constraints(g: OrientedGraph, hole_cap: int = HOLE_CAP_DEFAULT):
     pivot all three holes; for every induced dumbbell some connector
     endpoint can avoid being subordinate in its hole.
     """
-    holes = enumerate_holes(g, budget=len(g.vertices))[:hole_cap]
+    holes = enumerate_holes(g, budget=len(g.vertices))
     cand = {h: chandelier_pivot_candidates(g, h) for h in holes}
     for h in holes:
         if not cand[h]:
@@ -366,22 +349,22 @@ def orientation_constraints(g: OrientedGraph, hole_cap: int = HOLE_CAP_DEFAULT):
             cand[h] = chandelier_pivot_candidates(g, h)
         return cand[h]
 
-    for path, h1, h2 in _find_dumbbells(g, holes, hole_cap):
+    for path, h1, h2 in _find_dumbbells(g, holes):
         x, y = path[0], path[-1]
-        x_ok = x in _hole_sources(g, h1) or x in candidates(h1)
-        y_ok = y in _hole_sources(g, h2) or y in candidates(h2)
+        x_ok = x in hole_ends(g, h1)[0] or x in candidates(h1)
+        y_ok = y in hole_ends(g, h2)[0] or y in candidates(h2)
         if not (x_ok or y_ok):
             return OrientationConstraint(
                 "dumbbell", (("path", path), ("hole1", h1), ("hole2", h2))
             )
 
-    for (x, y), h1, h2 in _find_dominoes(g, holes, hole_cap):
+    for (x, y), h1, h2 in _find_dominoes(g, holes):
         ok = False
         for z in (x, y):
             for a, b in ((h1, h2), (h2, h1)):
                 if (
                     z in candidates(a)
-                    and z not in _hole_sources(g, b)
+                    and z not in hole_ends(g, b)[0]
                     and set(candidates(b)) - {z}
                 ):
                     ok = True
@@ -390,7 +373,7 @@ def orientation_constraints(g: OrientedGraph, hole_cap: int = HOLE_CAP_DEFAULT):
                 "domino", (("edge", (x, y)), ("hole1", h1), ("hole2", h2))
             )
 
-    for u, v, h1, h2, h3 in _find_thetas(g, holes, hole_cap):
+    for u, v, h1, h2, h3 in _find_thetas(g, holes):
         shared = set(candidates(h1)) & set(candidates(h2)) & set(candidates(h3))
         if not shared & {u, v}:
             return OrientationConstraint(
@@ -400,14 +383,14 @@ def orientation_constraints(g: OrientedGraph, hole_cap: int = HOLE_CAP_DEFAULT):
     return None
 
 
-def _detector_phase(g: Graph, hole_cap):
-    tri = _find_triangle(g)
+def _detector_phase(g: Graph):
+    tri = g.find_triangle()
     if tri is not None:
         return Verdict(NOT_BURLING, reason=Triangle(tri))
     wheel = find_wheel(g)
     if wheel is not None:
         return Verdict(NOT_BURLING, reason=Wheel(*wheel))
-    flower = find_flower(g, hole_cap=hole_cap)
+    flower = find_flower(g)
     if flower is not None:
         hole, petals = flower
         return Verdict(NOT_BURLING, reason=Flower(hole, petals))
@@ -420,19 +403,8 @@ def _detector_phase(g: Graph, hole_cap):
     return None
 
 
-def recognize_oriented(
-    g: OrientedGraph,
-    budget: int = EXACT_BUDGET_DEFAULT,
-    hole_cap: int = HOLE_CAP_DEFAULT,
-    obstructions_only: bool = False,
-) -> Verdict:
-    """Decide whether g is derivable with this exact orientation."""
-    hit = _detector_phase(g, hole_cap)
-    if hit is not None:
-        return hit
-    violation = orientation_constraints(g, hole_cap)
-    if violation is not None:
-        return Verdict(NOT_BURLING, reason=violation)
+def _check_exact_budget(g: Graph, budget: int, obstructions_only: bool):
+    """Raise BudgetExceededError unless the exact search may run on g."""
     if obstructions_only:
         raise BudgetExceededError(
             "no obstruction found; exact search skipped (obstructions-only)"
@@ -443,73 +415,56 @@ def recognize_oriented(
             f"graph has {n} vertices, exact budget is {budget};"
             " raise the budget or use --obstructions-only"
         )
-    searcher = _Searcher(g)
-    sd = find_sequential(g, n, _searcher=searcher)
+
+
+def _exact_search(o: OrientedGraph):
+    """A sequential decomposition of o or None, and the base subsets tried."""
+    searcher = _Searcher(o)
+    sd = find_sequential(o, len(o.vertices), _searcher=searcher)
+    return sd, searcher.stats["subsets"]
+
+
+def recognize_oriented(
+    g: OrientedGraph,
+    budget: int = EXACT_BUDGET_DEFAULT,
+    obstructions_only: bool = False,
+) -> Verdict:
+    """Decide whether g is derivable with this exact orientation."""
+    hit = _detector_phase(g)
+    if hit is not None:
+        return hit
+    violation = orientation_constraints(g)
+    if violation is not None:
+        return Verdict(NOT_BURLING, reason=violation)
+    _check_exact_budget(g, budget, obstructions_only)
+    sd, subsets = _exact_search(g)
     if sd is not None:
         return Verdict(BURLING, derivation=tree_from_seq(sd))
-    return Verdict(
-        NOT_BURLING, reason=Exhausted(1, searcher.stats["subsets"])
-    )
+    return Verdict(NOT_BURLING, reason=Exhausted(1, subsets))
 
 
 def recognize(
     g: Graph,
     budget: int = EXACT_BUDGET_DEFAULT,
-    hole_cap: int = HOLE_CAP_DEFAULT,
     obstructions_only: bool = False,
-    threads: int = 1,
 ) -> Verdict:
     """Decide whether some orientation of g is derivable."""
     if isinstance(g, OrientedGraph):
-        return recognize_oriented(g, budget, hole_cap, obstructions_only)
-    hit = _detector_phase(g, hole_cap)
+        return recognize_oriented(g, budget, obstructions_only)
+    hit = _detector_phase(g)
     if hit is not None:
         return hit
-    if obstructions_only:
-        raise BudgetExceededError(
-            "no obstruction found; exact search skipped (obstructions-only)"
-        )
-    n = len(g.vertices)
-    if n > budget:
-        raise BudgetExceededError(
-            f"graph has {n} vertices, exact budget is {budget};"
-            " raise the budget or use --obstructions-only"
-        )
-
-    def attempt(o):
-        if orientation_constraints(o, hole_cap) is not None:
-            return None, 0
-        searcher = _Searcher(o)
-        sd = find_sequential(o, n, _searcher=searcher)
-        return sd, searcher.stats["subsets"]
-
+    _check_exact_budget(g, budget, obstructions_only)
     explored = 0
     subsets = 0
-    if threads <= 1:
-        for o in derivable_orientations(g):
-            explored += 1
-            sd, cost = attempt(o)
-            subsets += cost
-            if sd is not None:
-                return Verdict(BURLING, derivation=tree_from_seq(sd))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            gen = derivable_orientations(g)
-            while True:
-                chunk = []
-                for o in gen:
-                    chunk.append(o)
-                    if len(chunk) >= 4 * threads:
-                        break
-                if not chunk:
-                    break
-                explored += len(chunk)
-                # results reduced in enumeration order: the verdict cannot
-                # depend on the thread count
-                for sd, cost in pool.map(attempt, chunk):
-                    subsets += cost
-                    if sd is not None:
-                        return Verdict(BURLING, derivation=tree_from_seq(sd))
+    for o in derivable_orientations(g):
+        explored += 1
+        if orientation_constraints(o) is not None:
+            continue
+        sd, cost = _exact_search(o)
+        subsets += cost
+        if sd is not None:
+            return Verdict(BURLING, derivation=tree_from_seq(sd))
     return Verdict(NOT_BURLING, reason=Exhausted(explored, subsets))
 
 
@@ -584,29 +539,16 @@ def verify_triangle(g: Graph, vertices) -> bool:
     )
 
 
-def _is_hole(g: Graph, hole) -> bool:
-    g = underlying(g)
-    n = len(hole)
-    if n < 4 or len(set(hole)) != n or not set(hole) <= g.vertex_set:
-        return False
-    for i in range(n):
-        for k in range(i + 1, n):
-            consecutive = k - i == 1 or (i == 0 and k == n - 1)
-            if g.has_edge(hole[i], hole[k]) != consecutive:
-                return False
-    return True
-
-
 def verify_wheel(g: Graph, hole, center) -> bool:
     g = underlying(g)
-    if not _is_hole(g, hole) or center in hole or center not in g.vertex_set:
+    if not is_hole(g, hole) or center in hole or center not in g.vertex_set:
         return False
     return sum(1 for v in hole if g.has_edge(center, v)) >= 3
 
 
 def verify_flower(g: Graph, hole, petals) -> bool:
     g = underlying(g)
-    if not _is_hole(g, hole):
+    if not is_hole(g, hole):
         return False
     edges = {tuple(sorted(e)) for e in _cyclic_edges(hole)}
     if set(petals) != edges:
@@ -614,7 +556,7 @@ def verify_flower(g: Graph, hole, petals) -> bool:
     expected_edges = {frozenset(e) for e in edges}
     union = set(hole)
     for edge, petal in petals.items():
-        if not _is_hole(g, petal):
+        if not is_hole(g, petal):
             return False
         if set(petal) & set(hole) != set(edge):
             return False
@@ -643,8 +585,7 @@ def verify_filter_witness(g: Graph, vertices) -> bool:
     if not set(vertices) <= g.vertex_set:
         return False
     h = g.induced_subgraph(set(vertices))
-    comps = _component_count(h)
-    if len(h.vertices) <= 1 or comps != 1:
+    if len(h.vertices) <= 1 or not h.is_connected():
         return False
     if is_path_graph(h) and len(h.vertices) <= 4:
         return False
@@ -653,29 +594,12 @@ def verify_filter_witness(g: Graph, vertices) -> bool:
     return not full_star_cutsets(h)
 
 
-def _component_count(g: Graph) -> int:
-    seen = set()
-    comps = 0
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comps += 1
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(g.neighbors(x))
-    return comps
-
-
 def verify_orientation_witness(g: OrientedGraph, reason: OrientationConstraint) -> bool:
     """Re-check that the witness structure exists in g and that the named
     constraint indeed fails on it."""
     sections = dict(reason.witness)
     holes = [v for k, v in reason.witness if k.startswith("hole")]
-    if not all(_is_hole(g, h) for h in holes):
+    if not all(is_hole(g, h) for h in holes):
         return False
     if reason.rule == "hole":
         return not chandelier_pivot_candidates(g, sections["hole"])
@@ -688,7 +612,7 @@ def verify_orientation_witness(g: OrientedGraph, reason: OrientationConstraint) 
             for a, b in ((h1, h2), (h2, h1)):
                 if (
                     z in chandelier_pivot_candidates(g, a)
-                    and z not in _hole_sources(g, b)
+                    and z not in hole_ends(g, b)[0]
                     and set(chandelier_pivot_candidates(g, b)) - {z}
                 ):
                     return False
@@ -706,8 +630,8 @@ def verify_orientation_witness(g: OrientedGraph, reason: OrientationConstraint) 
         x, y = path[0], path[-1]
         if x not in h1 or y not in h2 or set(h1) & set(h2):
             return False
-        x_ok = x in _hole_sources(g, h1) or x in chandelier_pivot_candidates(g, h1)
-        y_ok = y in _hole_sources(g, h2) or y in chandelier_pivot_candidates(g, h2)
+        x_ok = x in hole_ends(g, h1)[0] or x in chandelier_pivot_candidates(g, h1)
+        y_ok = y in hole_ends(g, h2)[0] or y in chandelier_pivot_candidates(g, h2)
         return not (x_ok or y_ok)
     return False
 
@@ -746,6 +670,33 @@ def serialize_certificate(verdict: Verdict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The sections each negative reason (and each orientation rule) needs, with
+# the number of labels on the line; None means one or more.
+_REASON_SECTIONS = {
+    "triangle": {"triangle": 3},
+    "wheel": {"hole": None, "center": 1},
+    "flower": {"hole": None},
+    "filter": {"subgraph": None},
+    "orientation": {"rule": 1},
+    "exhausted": {"stats": 2},
+}
+_RULE_SECTIONS = {
+    "hole": {"hole": None},
+    "domino": {"edge": 2, "hole1": None, "hole2": None},
+    "theta": {"apex": 2, "hole1": None, "hole2": None, "hole3": None},
+    "dumbbell": {"path": None, "hole1": None, "hole2": None},
+}
+
+
+def _check_sections(table: dict, needed: dict, what: str):
+    for key, count in needed.items():
+        if key not in table:
+            raise ParseError(f"{what} certificate missing {key!r} line")
+        got = len(table[key])
+        if not got or (count is not None and got != count):
+            raise ParseError(f"{key!r} line has {got} labels, expected {count or 'some'}")
+
+
 def parse_certificate(text: str) -> Verdict:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("cert_version:"):
@@ -753,10 +704,10 @@ def parse_certificate(text: str) -> Verdict:
     version = lines[0].split(":", 1)[1].strip()
     if version != str(CERT_VERSION):
         raise ParseError(f"unsupported cert_version {version!r}")
-    body = [l for l in lines[1:]]
+    body = lines[1:]
     if not body or not body[0].startswith("result "):
         raise ParseError("missing result line")
-    result = body[0].split(None, 1)[1]
+    result = body[0].partition(" ")[2].strip()
     if result == BURLING:
         if len(body) < 2 or body[1].strip() != "tree":
             raise ParseError("burling certificate missing tree section")
@@ -766,7 +717,9 @@ def parse_certificate(text: str) -> Verdict:
         raise ParseError(f"unknown result {result!r}")
     if len(body) < 2 or not body[1].startswith("reason "):
         raise ParseError("missing reason line")
-    tag = body[1].split(None, 1)[1]
+    tag = body[1].partition(" ")[2].strip()
+    if tag not in _REASON_SECTIONS:
+        raise ParseError(f"unknown reason {tag!r}")
     sections = []
     for line in body[2:]:
         if not line.strip():
@@ -774,6 +727,7 @@ def parse_certificate(text: str) -> Verdict:
         tokens = line.split()
         sections.append((tokens[0], tuple(tokens[1:])))
     table = dict(sections)
+    _check_sections(table, _REASON_SECTIONS[tag], tag)
     if tag == "triangle":
         return Verdict(NOT_BURLING, reason=Triangle(table["triangle"]))
     if tag == "wheel":
@@ -782,21 +736,25 @@ def parse_certificate(text: str) -> Verdict:
         petals = {}
         for key, values in sections:
             if key == "petal":
+                if len(values) < 2:
+                    raise ParseError("'petal' line needs a core edge")
                 petals[(values[0], values[1])] = values[2:]
         return Verdict(NOT_BURLING, reason=Flower(table["hole"], petals))
     if tag == "filter":
         return Verdict(NOT_BURLING, reason=FilterFailure(table["subgraph"]))
     if tag == "orientation":
         rule = table["rule"][0]
+        _check_sections(table, _RULE_SECTIONS.get(rule, {}), f"{rule} rule")
         witness = tuple((k, v) for k, v in sections if k != "rule")
         return Verdict(NOT_BURLING, reason=OrientationConstraint(rule, witness))
-    if tag == "exhausted":
-        stats = dict(item.split("=") for item in table["stats"])
+    stats = dict(item.partition("=")[::2] for item in table["stats"])
+    try:
         return Verdict(
             NOT_BURLING,
             reason=Exhausted(int(stats["orientations"]), int(stats["subsets"])),
         )
-    raise ParseError(f"unknown reason {tag!r}")
+    except (KeyError, ValueError):
+        raise ParseError("stats line looks like 'stats orientations=N subsets=N'")
 
 
 def verify_certificate(g: Graph, verdict: Verdict) -> bool:

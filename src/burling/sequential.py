@@ -55,9 +55,9 @@ def _base_out(sd: SequentialDecomposition, u):
 
 
 def is_chain(sd: SequentialDecomposition, rest) -> bool:
-    """True iff `rest` threads the decomposition: empty, or exactly one
-    element in the base whose removal leaves a chain of that element's
-    sub-decomposition."""
+    """True iff `rest` is a chain of the decomposition: empty, or exactly
+    one element in the base whose removal leaves a chain of that
+    element's sub-decomposition."""
     rest = frozenset(rest)
     if not rest:
         return True

@@ -11,13 +11,10 @@ work on arbitrary (oriented) graphs; on derived graphs the trichotomy
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ValidationError
-from .graphs import Graph, OrientedGraph, underlying
+from .graphs import Graph, OrientedGraph, is_hole, underlying
 from .trees import Derivation, check_derivation_valid, derive
-
-STAR_NEIGHBOR_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -129,19 +126,18 @@ class HoleAnalysis:
     subordinate: frozenset
 
 
-def _check_hole(g: Graph, hole):
+def hole_ends(g: OrientedGraph, hole):
+    """The hole's sources and its sinks (both hole arcs at the vertex
+    leaving it, or both entering it), each list in hole order."""
     n = len(hole)
-    if n < 4 or len(set(hole)) != n:
-        raise ValidationError(f"not a hole: {hole!r}")
-    u = underlying(g)
-    for i, a in enumerate(hole):
-        for j in range(i + 1, n):
-            b = hole[j]
-            adjacent = u.has_edge(a, b)
-            consecutive = j - i == 1 or (i == 0 and j == n - 1)
-            if adjacent != consecutive:
-                kind = "chord" if adjacent else "non-edge"
-                raise ValidationError(f"not a hole: {kind} {a} {b}")
+    sources, sinks = [], []
+    for i, v in enumerate(hole):
+        a, b = hole[i - 1], hole[(i + 1) % n]
+        if g.has_arc(v, a) and g.has_arc(v, b):
+            sources.append(v)
+        elif g.has_arc(a, v) and g.has_arc(b, v):
+            sinks.append(v)
+    return sources, sinks
 
 
 def chandelier_pivot_candidates(g: OrientedGraph, hole):
@@ -150,13 +146,11 @@ def chandelier_pivot_candidates(g: OrientedGraph, hole):
     Nonempty exactly when the hole is chandelier-oriented; a square has
     two candidates, longer holes at most one.
     """
-    _check_hole(g, hole)
-    n = len(hole)
-    around = {hole[i]: (hole[i - 1], hole[(i + 1) % n]) for i in range(n)}
-    sources = [v for v, (a, b) in around.items() if g.has_arc(v, a) and g.has_arc(v, b)]
+    if not is_hole(g, hole):
+        raise ValidationError(f"not a hole: {hole!r}")
+    sources, sinks = hole_ends(g, hole)
     if len(sources) != 2:
         return []
-    sinks = [v for v, (a, b) in around.items() if g.has_arc(a, v) and g.has_arc(b, v)]
     return sorted(
         p for p in sinks if all(g.has_edge(p, s) for s in sources)
     )
@@ -174,84 +168,28 @@ def analyze_hole(g: OrientedGraph, hole):
     if not candidates:
         return None
     pivot = candidates[0]
-    n = len(hole)
-    around = {hole[i]: (hole[i - 1], hole[(i + 1) % n]) for i in range(n)}
-    sources = sorted(
-        v for v, (a, b) in around.items() if g.has_arc(v, a) and g.has_arc(v, b)
-    )
-    sinks = [v for v, (a, b) in around.items() if g.has_arc(a, v) and g.has_arc(b, v)]
+    sources, sinks = hole_ends(g, hole)
     bottom = next(v for v in sinks if v != pivot)
     return HoleAnalysis(
         pivot=pivot,
-        antennas=tuple(sources),
+        antennas=tuple(sorted(sources)),
         bottom=bottom,
         subordinate=frozenset(hole) - {pivot} - set(sources),
     )
 
 
-def full_in_star_cutsets(g: OrientedGraph) -> list:
-    """All (center, components) where deleting the closed in-neighborhood
-    of the center leaves a disconnected graph."""
-    out = []
-    for v in sorted(g.vertices):
-        rest = g.induced_subgraph(set(g.vertices) - g.in_neighbors(v) - {v})
-        comps = rest.components()
-        if len(comps) >= 2:
-            out.append((v, comps))
-    return out
-
-
 def full_star_cutsets(g: Graph) -> list:
+    """All (center, components) where deleting the closed neighborhood of
+    the center leaves a disconnected graph.  On an oriented graph the
+    closed in-neighborhood is deleted: a full in-star cutset."""
+    around = g.in_neighbors if isinstance(g, OrientedGraph) else g.neighbors
     out = []
     for v in sorted(g.vertices):
-        rest = g.induced_subgraph(set(g.vertices) - g.neighbors(v) - {v})
+        rest = g.induced_subgraph(set(g.vertices) - around(v) - {v})
         comps = rest.components()
         if len(comps) >= 2:
             out.append((v, comps))
     return out
-
-
-@dataclass(frozen=True)
-class StarCutsetSearch:
-    center: str | None
-    cutset: frozenset | None
-    components: tuple | None
-    bound_exceeded: bool
-
-    @property
-    def found(self) -> bool:
-        return self.center is not None
-
-
-def star_cutsets(g: Graph, neighbor_bound: int = STAR_NEIGHBOR_BOUND) -> StarCutsetSearch:
-    """Search for any star cutset: a set S with {v} <= S <= N[v] whose
-    deletion disconnects the graph.
-
-    The full closed neighborhood is tried first for each center; other
-    subsets are enumerated only while the center's degree is at most
-    `neighbor_bound`, and skipped centers are flagged via bound_exceeded.
-    """
-    exceeded = False
-    for v in sorted(g.vertices):
-        nbrs = sorted(g.neighbors(v))
-        rest = g.induced_subgraph(set(g.vertices) - set(nbrs) - {v})
-        comps = rest.components()
-        if len(comps) >= 2:
-            cut = frozenset(nbrs) | {v}
-            return StarCutsetSearch(v, cut, tuple(tuple(c) for c in comps), False)
-        if len(nbrs) > neighbor_bound:
-            exceeded = True
-            continue
-        for size in range(len(nbrs)):
-            for sub in combinations(nbrs, size):
-                cut = frozenset(sub) | {v}
-                rest = g.induced_subgraph(set(g.vertices) - cut)
-                comps = rest.components()
-                if len(comps) >= 2:
-                    return StarCutsetSearch(
-                        v, cut, tuple(tuple(c) for c in comps), False
-                    )
-    return StarCutsetSearch(None, None, None, exceeded)
 
 
 @dataclass(frozen=True)
@@ -287,7 +225,7 @@ def decompose(g: OrientedGraph) -> DecompositionNode:
         if g.degree(v) <= 1:
             child = decompose(g.induced_subgraph(set(verts) - {v}))
             return DecompositionNode("deg1", verts, v, (child,))
-    cutsets = full_in_star_cutsets(g)
+    cutsets = full_star_cutsets(g)
     if cutsets:
         center, comps = cutsets[0]
         children = tuple(decompose(g.induced_subgraph(c)) for c in comps)
@@ -387,14 +325,3 @@ def _filter_connected(h: Graph):
         if witness is not None:
             return witness
     return None
-
-
-def cut_vertices(g: Graph) -> list:
-    """Vertices whose deletion increases the number of components."""
-    base = len(underlying(g).components())
-    out = []
-    for v in sorted(g.vertices):
-        rest = underlying(g).induced_subgraph(set(g.vertices) - {v})
-        if len(rest.components()) > base - (1 if g.degree(v) == 0 else 0):
-            out.append(v)
-    return out

@@ -1,5 +1,6 @@
 import io
 
+from hypothesis import HealthCheck, given, settings
 import pytest
 
 from burling.cli import main
@@ -7,6 +8,8 @@ from burling.generators import gen_figure
 from burling.graphs import parse_graph, serialize_graph, underlying
 from burling.recognition import parse_certificate
 from burling.trees import derive, parse_derivation, serialize_derivation
+
+from .strategies import certificate_texts
 
 
 @pytest.fixture
@@ -72,6 +75,20 @@ def test_verify_mismatch(run, tmp_path):
     assert out == "graph vertex w1 is not derived\n"
 
 
+# the files are rewritten on every example, so sharing tmp_path is safe
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=certificate_texts)
+def test_verify_fuzz_exits_cleanly(run, tmp_path, text):
+    cert = tmp_path / "cert"
+    graph = tmp_path / "g"
+    cert.write_text(text, encoding="utf-8")
+    graph.write_text(square_graph_text())
+    code, out, err = run(["verify", str(cert), str(graph)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 def test_recognize_positive_with_cert(run, tmp_path):
     graph = tmp_path / "g"
     cert = tmp_path / "cert"
@@ -117,11 +134,10 @@ def test_recognize_budget_paths(run, monkeypatch):
     assert code == 3 and out.startswith("INCONCLUSIVE")
 
 
-def test_recognize_threads_flag(run):
+def test_recognize_exhausted_search(run):
     code, fb, _ = run(["gen", "figure", "feedback"])
-    one = run(["recognize", "-", "--threads", "1"], stdin=fb)
-    two = run(["recognize", "-", "--threads", "2"], stdin=fb)
-    assert one[:2] == two[:2] == (1, "NOT_BURLING exhausted\n")
+    code, out, _ = run(["recognize", "-"], stdin=fb)
+    assert (code, out) == (1, "NOT_BURLING exhausted\n")
 
 
 def test_nobility(run):
@@ -238,3 +254,11 @@ def test_gen_errors(run):
     assert run(["gen", "figure", "nope"])[0] == 2
     assert run(["gen", "k4-subdivision", "1,2,x"])[0] == 2
     assert run(["gen", "chandelier", "ab"])[0] == 2
+    for argv in (
+        ["gen", "wheel", "x", "0,2"],
+        ["gen", "theta", "a", "3", "3"],
+        ["gen", "flower", "x", "4"],
+    ):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -1,7 +1,10 @@
+from itertools import combinations, permutations
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+from burling.catalog import triangle_free_graphs
 from burling.errors import BudgetExceededError, ParseError
 from burling.generators import gen_theta, gen_wheel
 from burling.graphs import (
@@ -9,6 +12,7 @@ from burling.graphs import (
     OrientedGraph,
     enumerate_holes,
     hole_arcs,
+    is_hole,
     parse_graph,
     serialize_graph,
 )
@@ -113,6 +117,32 @@ def test_enumerate_holes_canonical_and_deterministic():
     for h in holes:
         assert h[0] == min(h)
         assert h[1] < h[-1]
+
+
+def _canonical_cycle(cycle) -> tuple:
+    """The rotation and direction enumerate_holes reports a hole in."""
+    i = cycle.index(min(cycle))
+    turned = tuple(cycle[i:]) + tuple(cycle[:i])
+    return turned if turned[1] < turned[-1] else (turned[0],) + turned[1:][::-1]
+
+
+def test_holes_match_networkx_chordless_cycles():
+    nx = pytest.importorskip("networkx")
+    census = triangle_free_graphs(6)
+    assert len(census) == 66
+    for g in census:
+        oracle = nx.Graph(list(g.edges))
+        oracle.add_nodes_from(g.vertices)
+        expected = {
+            _canonical_cycle(c) for c in nx.chordless_cycles(oracle) if len(c) >= 4
+        }
+        assert set(enumerate_holes(g)) == expected
+        # is_hole on every cyclic vertex sequence of length >= 4
+        for k in range(4, len(g.vertices) + 1):
+            for subset in combinations(sorted(g.vertices), k):
+                for rest in permutations(subset[1:]):
+                    seq = (subset[0],) + rest
+                    assert is_hole(g, seq) == (_canonical_cycle(seq) in expected)
 
 
 def test_enumerate_holes_budget():

@@ -1,8 +1,9 @@
 from itertools import product
 
+from hypothesis import given
 import pytest
 
-from burling.errors import BudgetExceededError, ParseError
+from burling.errors import BudgetExceededError, ParseError, ValidationError
 from burling.generators import gen_figure, gen_k4_subdivision, gen_theta, gen_wheel
 from burling.graphs import Graph, OrientedGraph, underlying
 from burling.recognition import (
@@ -27,6 +28,8 @@ from burling.recognition import (
 )
 from burling.sequential import nobility_oriented
 from burling.trees import check_derivation, derive
+
+from .strategies import certificate_texts
 
 
 def dumbbell_instance() -> OrientedGraph:
@@ -169,14 +172,6 @@ def test_feedback_graph_exhausts_the_search():
     assert verdict.reason.subsets > 0
 
 
-def test_threads_do_not_change_the_verdict():
-    solo = recognize(gen_figure("feedback"), threads=1)
-    duo = recognize(gen_figure("feedback"), threads=2)
-    assert duo.outcome == solo.outcome
-    assert duo.reason.orientations == solo.reason.orientations
-    assert duo.reason.subsets == solo.reason.subsets
-
-
 def test_recognition_is_label_independent():
     g = gen_wheel(6, {0, 2, 4})
     relabeled = Graph(
@@ -246,18 +241,43 @@ def test_certificates_catch_tampering():
 
 
 def test_certificate_parse_errors():
-    with pytest.raises(ParseError):
-        parse_certificate("no header\n")
-    with pytest.raises(ParseError):
-        parse_certificate("cert_version: 2\nresult burling\n")
-    with pytest.raises(ParseError):
-        parse_certificate("cert_version: 1\n")
-    with pytest.raises(ParseError):
-        parse_certificate("cert_version: 1\nresult maybe\n")
-    with pytest.raises(ParseError):
-        parse_certificate("cert_version: 1\nresult not_burling\nreason vibes\n")
-    with pytest.raises(ParseError):
-        parse_certificate("cert_version: 1\nresult burling\nno tree\n")
+    negative = "cert_version: 1\nresult not_burling\n"
+    for text in (
+        "no header\n",
+        "cert_version: 2\nresult burling\n",
+        "cert_version: 1\n",
+        "cert_version: 1\nresult maybe\n",
+        "cert_version: 1\nresult \n",
+        negative + "reason vibes\n",
+        "cert_version: 1\nresult burling\nno tree\n",
+        # missing sections
+        negative + "reason wheel\ncenter h\n",
+        negative + "reason orientation\nhole a b c d\n",
+        negative + "reason orientation\nrule domino\nhole1 a b c d\n",
+        # malformed stats lines
+        negative + "reason exhausted\nstats orientations\n",
+        negative + "reason exhausted\nstats orientations=1 subsets=x\n",
+        negative + "reason exhausted\nstats orientations=1 cost=2\n",
+        # wrong label counts
+        negative + "reason triangle\ntriangle a\n",
+        negative + "reason wheel\nhole a b c d\ncenter h k\n",
+        negative + "reason orientation\nrule theta\napex u\n"
+        "hole1 a b c d\nhole2 a b c d\nhole3 a b c d\n",
+        negative + "reason flower\nhole a b c d\npetal a\n",
+    ):
+        with pytest.raises(ParseError):
+            parse_certificate(text)
+
+
+@given(certificate_texts)
+def test_certificate_fuzz_fails_only_with_input_errors(text):
+    square = derive(gen_figure("square-c4"))
+    try:
+        verdict = parse_certificate(text)
+        verify_certificate(square, verdict)
+        verify_certificate(underlying(square), verdict)
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_exhausted_certificate_content():

@@ -9,9 +9,7 @@ from burling.structure import (
     chalopin_filter,
     chandelier_pivot_candidates,
     check_top_ancestor_dichotomy,
-    cut_vertices,
     decompose,
-    full_in_star_cutsets,
     full_star_cutsets,
     in_tree_leaves,
     is_in_forest,
@@ -22,7 +20,6 @@ from burling.structure import (
     is_path_graph,
     is_path_like_tree,
     serialize_decomposition,
-    star_cutsets,
     top_set,
 )
 from burling.trees import derive
@@ -146,11 +143,11 @@ def test_directed_cycle_is_not_chandelier_oriented():
 
 def test_full_in_star_cutsets_k33():
     g = derive(gen_figure("k33"))
-    cuts = full_in_star_cutsets(g)
+    cuts = full_star_cutsets(g)
     assert [c for c, _ in cuts] == ["x1", "x2", "x3"]
     assert cuts[0][1] == [["x2"], ["x3"]]
     # the C4 has none: deleting any closed in-neighborhood leaves one vertex
-    assert full_in_star_cutsets(derive(gen_figure("square-c4"))) == []
+    assert full_star_cutsets(derive(gen_figure("square-c4"))) == []
 
 
 def test_full_star_cutsets():
@@ -160,24 +157,6 @@ def test_full_star_cutsets():
     assert cuts[0][1] == [["a"], ["e"]]
     c6 = underlying(derive(gen_figure("c6")))
     assert full_star_cutsets(c6) == []
-
-
-def test_star_cutset_search():
-    p4 = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
-    found = star_cutsets(p4)
-    assert found.found
-    assert found.center == "b"
-    assert found.cutset == frozenset("b")
-    assert found.components == (("a",), ("c", "d"))
-    assert not found.bound_exceeded
-
-    c4 = underlying(derive(gen_figure("square-c4")))
-    none = star_cutsets(c4)
-    assert not none.found and not none.bound_exceeded
-
-    k5 = Graph("abcde", [(x, y) for i, x in enumerate("abcde") for y in "abcde"[i + 1 :]])
-    assert star_cutsets(k5, neighbor_bound=3).bound_exceeded
-    assert not star_cutsets(k5).bound_exceeded
 
 
 def test_decompose_leaf_and_chandelier():
@@ -269,17 +248,3 @@ def test_filter_rejects_triangle_and_subdivided_k4():
 @given(derivations())
 def test_filter_accepts_derived_graphs(d):
     assert chalopin_filter(derive(d)).passes
-
-
-def test_cut_vertices():
-    p3 = Graph("abc", [("a", "b"), ("b", "c")])
-    assert cut_vertices(p3) == ["b"]
-    c4 = underlying(derive(gen_figure("square-c4")))
-    assert cut_vertices(c4) == []
-    bowtie = Graph(
-        "abcde",
-        [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("c", "e"), ("d", "e")],
-    )
-    assert cut_vertices(bowtie) == ["c"]
-    sparse = Graph("abc", [("a", "b")])
-    assert cut_vertices(sparse) == []
