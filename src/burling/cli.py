@@ -22,13 +22,7 @@ from .generators import (
     gen_wheel,
     gen_figure,
 )
-from .graphs import (
-    HOLE_BUDGET_DEFAULT,
-    OrientedGraph,
-    enumerate_holes,
-    parse_graph,
-    serialize_graph,
-)
+from .graphs import OrientedGraph, parse_graph, serialize_graph
 from .recognition import (
     parse_certificate,
     recognize,
@@ -57,6 +51,8 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+# `analyze` refuses larger graphs: hole enumeration is exponential
+HOLE_BUDGET_DEFAULT = 16
 
 
 def _read(path: str) -> str:
@@ -251,8 +247,13 @@ def _cmd_analyze(args) -> int:
         lines.append("antennas " + " ".join(sorted(report.antennas)))
         for v in sorted(report.top_ancestor):
             lines.append(f"branch {v} {report.top_ancestor[v]}")
+    n = len(g.vertices)
+    if n > args.budget:
+        raise BudgetExceededError(
+            f"hole enumeration limited to {args.budget} vertices, got {n}"
+        )
     lines.append("holes")
-    for hole in enumerate_holes(g, budget=args.budget):
+    for hole in g.holes:
         lines.append(_hole_line(g, hole))
     lines.append("cutsets")
     for center, comps in full_star_cutsets(g):
@@ -324,8 +325,15 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so `main` reports them as one `error:` line."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="burling",
         description="Burling trees, derived graphs, and membership certificates.",
     )
@@ -380,9 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if hasattr(args, "budget") and args.budget is None:
             args.budget = _default_budget()
         return args.fn(args)

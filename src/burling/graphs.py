@@ -23,9 +23,9 @@ two-vertex directed cycles (both uv and vu) are rejected.
 
 from __future__ import annotations
 
-from .errors import BudgetExceededError, ParseError
+from functools import cached_property
 
-HOLE_BUDGET_DEFAULT = 16
+from .errors import ParseError
 
 
 def check_token(label: str) -> str:
@@ -125,6 +125,12 @@ class Graph:
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
+
+    @cached_property
+    def holes(self) -> tuple:
+        """The holes of the graph (of its underlying graph when oriented),
+        in `enumerate_holes` order; computed once per graph value."""
+        return tuple(enumerate_holes(self))
 
     def find_triangle(self):
         for u, v in sorted(self.edges):
@@ -270,21 +276,14 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def enumerate_holes(g: Graph, budget: int = HOLE_BUDGET_DEFAULT) -> list:
+def enumerate_holes(g: Graph) -> list:
     """All holes (chordless cycles of length >= 4) of the underlying graph.
 
     Each hole is reported once, as the tuple rotated to start at its
     smallest vertex, continuing toward the smaller of that vertex's two
-    cycle neighbors.  The list is sorted by (length, labels).
-
-    Raises BudgetExceededError when the graph has more than `budget`
-    vertices; the search is exponential in the worst case.
+    cycle neighbors.  The list is sorted by (length, labels).  The search
+    is exponential in the worst case; `Graph.holes` keeps its result.
     """
-    g = underlying(g)
-    if len(g.vertices) > budget:
-        raise BudgetExceededError(
-            f"hole enumeration limited to {budget} vertices, got {len(g.vertices)}"
-        )
     adj = {v: g.neighbors(v) for v in g.vertices}
     holes = []
 
@@ -327,18 +326,3 @@ def is_hole(g: Graph, hole) -> bool:
             if g.has_edge(hole[i], hole[k]) != consecutive:
                 return False
     return True
-
-
-def hole_arcs(g: OrientedGraph, hole) -> list:
-    """The arcs of `g` along a hole of its underlying graph, as oriented pairs."""
-    n = len(hole)
-    out = []
-    for i, u in enumerate(hole):
-        v = hole[(i + 1) % n]
-        if g.has_arc(u, v):
-            out.append((u, v))
-        elif g.has_arc(v, u):
-            out.append((v, u))
-        else:
-            raise ParseError(f"{u!r} {v!r} is not an arc of the graph")
-    return out

@@ -14,15 +14,19 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import BudgetExceededError, ParseError
-from .graphs import Graph, OrientedGraph, enumerate_holes, is_hole, underlying
+from .graphs import Graph, OrientedGraph, is_hole, underlying
 from .sequential import (
     EXACT_BUDGET_DEFAULT,
-    _Searcher,
     derivable_orientations,
-    find_sequential,
+    exact_searcher,
     tree_from_seq,
 )
-from .structure import chalopin_filter, chandelier_pivot_candidates, hole_ends
+from .structure import (
+    chalopin_filter,
+    chandelier_pivot_candidates,
+    chandelier_pivots,
+    hole_ends,
+)
 from .trees import check_derivation, parse_derivation, serialize_derivation
 
 CERT_VERSION = 1
@@ -89,9 +93,7 @@ class Verdict:
 
 def find_wheel(g: Graph):
     """Some hole plus a vertex outside it with >= 3 neighbors on it."""
-    g = underlying(g)
-    holes = enumerate_holes(g, budget=len(g.vertices))
-    for hole in holes:
+    for hole in g.holes:
         on_hole = set(hole)
         for center in sorted(g.vertex_set - on_hole):
             if len(g.neighbors(center) & on_hole) >= 3:
@@ -108,8 +110,7 @@ def find_flower(g: Graph):
     """A core hole with one petal hole per core edge, meeting the core in
     exactly that edge, meeting each other only in shared core vertices,
     and spanning no further edges."""
-    g = underlying(g)
-    holes = enumerate_holes(g, budget=len(g.vertices))
+    holes = g.holes
     for core in holes:
         core_set = set(core)
         edges = _cyclic_edges(core)
@@ -134,18 +135,7 @@ def find_flower(g: Graph):
 
 def _assign_petals(g, core, edges, candidates, i, chosen):
     if i == len(edges):
-        union = set(core)
-        expected = {frozenset(e) for e in _cyclic_edges(core)}
-        for petal in chosen.values():
-            union |= set(petal)
-            expected |= {frozenset(e) for e in _cyclic_edges(petal)}
-        actual = {
-            frozenset(e)
-            for e in g.induced_subgraph(union).edges
-        }
-        if actual == expected:
-            return dict(chosen)
-        return None
+        return dict(chosen) if _induces_only(g, [core, *chosen.values()]) else None
     edge = edges[i]
     for petal in candidates[i]:
         ok = True
@@ -177,6 +167,12 @@ def _hole_edge_sets(*paths_or_holes):
     return out
 
 
+def _induces_only(g: Graph, holes) -> bool:
+    """Whether the union of the holes induces no edge beyond their cycles."""
+    union = set().union(*holes)
+    return _induced_edges(g, union) == _hole_edge_sets(*((True, h) for h in holes))
+
+
 def _find_dominoes(g: Graph, holes):
     """Pairs of holes sharing exactly one edge and nothing else."""
     found = []
@@ -193,8 +189,7 @@ def _find_dominoes(g: Graph, holes):
             x, y = sorted(shared)
             if not g.has_edge(x, y):
                 continue
-            union = set(h1) | set(h2)
-            if _induced_edges(g, union) != _hole_edge_sets((True, h1), (True, h2)):
+            if not _induces_only(g, (h1, h2)):
                 continue
             found.append(((x, y), h1, h2))
     return found
@@ -338,21 +333,22 @@ def orientation_constraints(g: OrientedGraph):
     pivot all three holes; for every induced dumbbell some connector
     endpoint can avoid being subordinate in its hole.
     """
-    holes = enumerate_holes(g, budget=len(g.vertices))
-    cand = {h: chandelier_pivot_candidates(g, h) for h in holes}
+    holes = g.holes
+    cand = {h: chandelier_pivots(g.has_arc, h) for h in holes}
     for h in holes:
         if not cand[h]:
             return OrientationConstraint("hole", (("hole", h),))
 
     def candidates(h):
+        # a theta's third hole is a hole by construction, but may be uncached
         if h not in cand:
-            cand[h] = chandelier_pivot_candidates(g, h)
+            cand[h] = chandelier_pivots(g.has_arc, h)
         return cand[h]
 
     for path, h1, h2 in _find_dumbbells(g, holes):
         x, y = path[0], path[-1]
-        x_ok = x in hole_ends(g, h1)[0] or x in candidates(h1)
-        y_ok = y in hole_ends(g, h2)[0] or y in candidates(h2)
+        x_ok = x in hole_ends(g.has_arc, h1)[0] or x in candidates(h1)
+        y_ok = y in hole_ends(g.has_arc, h2)[0] or y in candidates(h2)
         if not (x_ok or y_ok):
             return OrientationConstraint(
                 "dumbbell", (("path", path), ("hole1", h1), ("hole2", h2))
@@ -364,7 +360,7 @@ def orientation_constraints(g: OrientedGraph):
             for a, b in ((h1, h2), (h2, h1)):
                 if (
                     z in candidates(a)
-                    and z not in hole_ends(g, b)[0]
+                    and z not in hole_ends(g.has_arc, b)[0]
                     and set(candidates(b)) - {z}
                 ):
                     ok = True
@@ -394,7 +390,7 @@ def _detector_phase(g: Graph):
     if flower is not None:
         hole, petals = flower
         return Verdict(NOT_BURLING, reason=Flower(hole, petals))
-    filtered = chalopin_filter(underlying(g))
+    filtered = chalopin_filter(g)
     if not filtered.passes:
         return Verdict(
             NOT_BURLING,
@@ -419,8 +415,10 @@ def _check_exact_budget(g: Graph, budget: int, obstructions_only: bool):
 
 def _exact_search(o: OrientedGraph):
     """A sequential decomposition of o or None, and the base subsets tried."""
-    searcher = _Searcher(o)
-    sd = find_sequential(o, len(o.vertices), _searcher=searcher)
+    searcher = exact_searcher(o)
+    if searcher is None:
+        return None, 0
+    sd = searcher.search(searcher.full, len(o.vertices), frozenset())
     return sd, searcher.stats["subsets"]
 
 
@@ -470,7 +468,6 @@ def recognize(
 
 def _k4_skeleton(g: Graph):
     """Branch vertices and branch paths if g subdivides K4, else None."""
-    g = underlying(g)
     degrees = {v: len(g.neighbors(v)) for v in g.vertices}
     branch = sorted(v for v, d in degrees.items() if d == 3)
     if len(branch) != 4 or any(d not in (2, 3) for d in degrees.values()):
@@ -513,7 +510,6 @@ def classify_k4_subdivision(g: Graph) -> str:
     if skeleton is None:
         return NOT_A_K4_SUBDIVISION
     branch, _ = skeleton
-    g = underlying(g)
     for a, b, c, d in permutations(branch):
         if (
             g.has_edge(a, b)
@@ -530,7 +526,6 @@ def classify_k4_subdivision(g: Graph) -> str:
 
 def verify_triangle(g: Graph, vertices) -> bool:
     a, b, c = vertices
-    g = underlying(g)
     return (
         len({a, b, c}) == 3
         and g.has_edge(a, b)
@@ -540,39 +535,27 @@ def verify_triangle(g: Graph, vertices) -> bool:
 
 
 def verify_wheel(g: Graph, hole, center) -> bool:
-    g = underlying(g)
     if not is_hole(g, hole) or center in hole or center not in g.vertex_set:
         return False
     return sum(1 for v in hole if g.has_edge(center, v)) >= 3
 
 
 def verify_flower(g: Graph, hole, petals) -> bool:
-    g = underlying(g)
     if not is_hole(g, hole):
         return False
     edges = {tuple(sorted(e)) for e in _cyclic_edges(hole)}
     if set(petals) != edges:
         return False
-    expected_edges = {frozenset(e) for e in edges}
-    union = set(hole)
     for edge, petal in petals.items():
-        if not is_hole(g, petal):
+        if not is_hole(g, petal) or set(petal) & set(hole) != set(edge):
             return False
-        if set(petal) & set(hole) != set(edge):
-            return False
-        union |= set(petal)
-        expected_edges |= {frozenset(e) for e in _cyclic_edges(petal)}
     items = sorted(petals.items())
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
             (e1, p1), (e2, p2) = items[i], items[j]
             if set(p1) & set(p2) != set(e1) & set(e2):
                 return False
-    actual = {
-        frozenset((u, v))
-        for u, v in g.induced_subgraph(union).edges
-    }
-    return actual == expected_edges
+    return _induces_only(g, [hole, *petals.values()])
 
 
 def verify_filter_witness(g: Graph, vertices) -> bool:
@@ -612,7 +595,7 @@ def verify_orientation_witness(g: OrientedGraph, reason: OrientationConstraint) 
             for a, b in ((h1, h2), (h2, h1)):
                 if (
                     z in chandelier_pivot_candidates(g, a)
-                    and z not in hole_ends(g, b)[0]
+                    and z not in hole_ends(g.has_arc, b)[0]
                     and set(chandelier_pivot_candidates(g, b)) - {z}
                 ):
                     return False
@@ -630,8 +613,8 @@ def verify_orientation_witness(g: OrientedGraph, reason: OrientationConstraint) 
         x, y = path[0], path[-1]
         if x not in h1 or y not in h2 or set(h1) & set(h2):
             return False
-        x_ok = x in hole_ends(g, h1)[0] or x in chandelier_pivot_candidates(g, h1)
-        y_ok = y in hole_ends(g, h2)[0] or y in chandelier_pivot_candidates(g, h2)
+        x_ok = x in hole_ends(g.has_arc, h1)[0] or x in chandelier_pivot_candidates(g, h1)
+        y_ok = y in hole_ends(g.has_arc, h2)[0] or y in chandelier_pivot_candidates(g, h2)
         return not (x_ok or y_ok)
     return False
 

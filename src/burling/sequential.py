@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, ValidationError
-from .graphs import Graph, OrientedGraph, enumerate_holes
-from .structure import chandelier_pivot_candidates, is_in_forest
+from .graphs import Graph, OrientedGraph
+from .structure import chandelier_pivots, is_in_forest
 from .trees import BurlingTree, Derivation, check_derivation_valid, derive
 
 EXACT_BUDGET_DEFAULT = 12
@@ -115,13 +115,6 @@ def realizes(g: OrientedGraph, sd: SequentialDecomposition) -> bool:
     if validate_decomposition(sd):
         return False
     return realized_graph(sd) == g
-
-
-def _holes_all_chandelier(g: OrientedGraph) -> bool:
-    for hole in enumerate_holes(g, budget=len(g.vertices)):
-        if not chandelier_pivot_candidates(g, hole):
-            return False
-    return True
 
 
 class _Searcher:
@@ -345,20 +338,29 @@ def _merge(parts):
     )
 
 
-def find_sequential(g: OrientedGraph, k: int, _searcher=None):
+def exact_searcher(g: OrientedGraph):
+    """The exact search over g's decompositions, or None when g fails the
+    guard that rejects it without searching: a directed cycle, or a hole
+    that is not chandelier-oriented."""
+    if g.topological_order() is None:
+        return None
+    if not all(chandelier_pivots(g.has_arc, hole) for hole in g.holes):
+        return None
+    return _Searcher(g)
+
+
+def find_sequential(g: OrientedGraph, k: int):
     """A decomposition of depth <= k realizing g, or None.
 
     The search is exact: None for k = |V(g)| means g is not derivable
-    from any Burling tree.  Graphs with a directed cycle or a hole that
-    is not chandelier-oriented are rejected without searching.
+    from any Burling tree.  Graphs that fail the `exact_searcher` guard
+    are rejected without searching.
     """
     if k < 0:
         raise ValidationError("depth bound must be >= 0")
-    if g.topological_order() is None:
+    searcher = exact_searcher(g)
+    if searcher is None:
         return None
-    if not _holes_all_chandelier(g):
-        return None
-    searcher = _searcher or _Searcher(g)
     return searcher.search(searcher.full, k, frozenset())
 
 
@@ -481,14 +483,15 @@ def _build_level(sd: SequentialDecomposition, b: _TreeBuilder, root):
 
 def nobility_oriented(g: OrientedGraph, budget: int = EXACT_BUDGET_DEFAULT):
     """Smallest decomposition depth realizing g, or None when g is not
-    derivable from any Burling tree."""
+    derivable from any Burling tree; graphs that fail the
+    `exact_searcher` guard are None without searching."""
     if len(g.vertices) > budget:
         raise BudgetExceededError(
             f"exact search limited to {budget} vertices, got {len(g.vertices)}"
         )
-    if g.topological_order() is None or not _holes_all_chandelier(g):
+    searcher = exact_searcher(g)
+    if searcher is None:
         return None
-    searcher = _Searcher(g)
     for k in range(len(g.vertices) + 1):
         found = searcher.search(searcher.full, k, frozenset())
         if found is not None:
@@ -498,16 +501,16 @@ def nobility_oriented(g: OrientedGraph, budget: int = EXACT_BUDGET_DEFAULT):
 
 def derivable_orientations(g: Graph):
     """All orientations of g that survive the cheap derivability tests:
-    no directed cycle, stable out-neighborhoods, every fully oriented
-    hole chandelier-oriented.  Yields deterministically by edge order."""
+    no directed cycle, stable out-neighborhoods, and the `exact_searcher`
+    hole guard, applied to each hole as soon as its last edge is placed.
+    Yields deterministically by edge order."""
     edges = sorted(g.edges)
-    holes = enumerate_holes(g, budget=max(len(g.vertices), 1))
     edge_pos = {e: i for i, e in enumerate(edges)}
-    hole_edges = []
-    for hole in holes:
-        n = len(hole)
-        es = [tuple(sorted((hole[i], hole[(i + 1) % n]))) for i in range(n)]
-        hole_edges.append((hole, max(edge_pos[e] for e in es)))
+    closed_at = {}  # edge position -> holes whose last edge it is
+    for hole in g.holes:
+        around = zip(hole, hole[1:] + hole[:1])
+        last = max(edge_pos[min(u, v), max(u, v)] for u, v in around)
+        closed_at.setdefault(last, []).append(hole)
     arcs = {}
 
     def creates_cycle(u, v):
@@ -527,28 +530,22 @@ def derivable_orientations(g: Graph):
     def stable_out(u, v):
         return all(not g.has_edge(v, w) for w in arcs.get(u, ()))
 
-    def oriented():
-        flat = [(u, v) for u, outs in arcs.items() for v in outs]
-        return OrientedGraph(sorted(g.vertices), sorted(flat))
+    def has_arc(u, v):
+        return v in arcs.get(u, ())
 
     def place(i):
         if i == len(edges):
-            yield oriented()
+            flat = [(u, v) for u, outs in arcs.items() for v in outs]
+            yield OrientedGraph(sorted(g.vertices), sorted(flat))
             return
         a, b = edges[i]
         for u, v in ((a, b), (b, a)):
             if creates_cycle(u, v) or not stable_out(u, v):
                 continue
             arcs.setdefault(u, set()).add(v)
-            ok = True
-            for hole, last in hole_edges:
-                if last == i and not chandelier_pivot_candidates(oriented(), hole):
-                    ok = False
-                    break
-            if ok:
+            if all(chandelier_pivots(has_arc, hole) for hole in closed_at.get(i, ())):
                 yield from place(i + 1)
             arcs[u].discard(v)
-        return
 
     yield from place(0)
 

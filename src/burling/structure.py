@@ -74,8 +74,7 @@ def is_in_forest(g: OrientedGraph) -> bool:
     """Disjoint union of trees with every edge oriented toward a root."""
     if any(len(g.out_neighbors(v)) > 1 for v in g.vertices):
         return False
-    u = g.underlying()
-    return len(u.edges) == len(u.vertices) - len(u.components())
+    return len(g.edges) == len(g.vertices) - len(g.components())
 
 
 def is_in_tree(g: OrientedGraph) -> bool:
@@ -89,13 +88,6 @@ def in_tree_leaves(g: OrientedGraph) -> frozenset:
         for v in g.vertices
         if not g.in_neighbors(v) and len(g.out_neighbors(v)) == 1
     )
-
-
-def is_in_star(g: OrientedGraph) -> bool:
-    if not is_in_tree(g):
-        return False
-    sink = next(v for v in g.vertices if not g.out_neighbors(v))
-    return all(v == sink or g.has_edge(v, sink) for v in g.vertices)
 
 
 def is_oriented_chandelier(g: OrientedGraph):
@@ -126,34 +118,40 @@ class HoleAnalysis:
     subordinate: frozenset
 
 
-def hole_ends(g: OrientedGraph, hole):
+def hole_ends(has_arc, hole):
     """The hole's sources and its sinks (both hole arcs at the vertex
-    leaving it, or both entering it), each list in hole order."""
+    leaving it, or both entering it), each list in hole order.
+    `has_arc(u, v)` tells whether u -> v is an arc."""
     n = len(hole)
     sources, sinks = [], []
     for i, v in enumerate(hole):
         a, b = hole[i - 1], hole[(i + 1) % n]
-        if g.has_arc(v, a) and g.has_arc(v, b):
+        if has_arc(v, a) and has_arc(v, b):
             sources.append(v)
-        elif g.has_arc(a, v) and g.has_arc(b, v):
+        elif has_arc(a, v) and has_arc(b, v):
             sinks.append(v)
     return sources, sinks
 
 
-def chandelier_pivot_candidates(g: OrientedGraph, hole):
-    """Sinks of the hole adjacent to both of its sources.
+def chandelier_pivots(has_arc, hole):
+    """The chandelier rule on a known hole: the sinks of the hole that
+    receive an arc from each of its exactly two sources.
 
     Nonempty exactly when the hole is chandelier-oriented; a square has
-    two candidates, longer holes at most one.
+    two candidates, longer holes at most one.  Only the arcs along the
+    hole are read, so a partial orientation that fixes them suffices.
     """
-    if not is_hole(g, hole):
-        raise ValidationError(f"not a hole: {hole!r}")
-    sources, sinks = hole_ends(g, hole)
+    sources, sinks = hole_ends(has_arc, hole)
     if len(sources) != 2:
         return []
-    return sorted(
-        p for p in sinks if all(g.has_edge(p, s) for s in sources)
-    )
+    return sorted(p for p in sinks if all(has_arc(s, p) for s in sources))
+
+
+def chandelier_pivot_candidates(g: OrientedGraph, hole):
+    """`chandelier_pivots` on a vertex sequence that must be a hole of g."""
+    if not is_hole(g, hole):
+        raise ValidationError(f"not a hole: {hole!r}")
+    return chandelier_pivots(g.has_arc, hole)
 
 
 def analyze_hole(g: OrientedGraph, hole):
@@ -168,7 +166,7 @@ def analyze_hole(g: OrientedGraph, hole):
     if not candidates:
         return None
     pivot = candidates[0]
-    sources, sinks = hole_ends(g, hole)
+    sources, sinks = hole_ends(g.has_arc, hole)
     bottom = next(v for v in sinks if v != pivot)
     return HoleAnalysis(
         pivot=pivot,
@@ -302,8 +300,9 @@ def chalopin_filter(g: Graph) -> FilterResult:
     full star cutset, be a luxury chandelier, or fit inside a path on
     four vertices.  A piece with none of these properties is returned
     as a witness of non-membership."""
-    for comp in underlying(g).components():
-        witness = _filter_connected(underlying(g).induced_subgraph(comp))
+    u = underlying(g)
+    for comp in u.components():
+        witness = _filter_connected(u.induced_subgraph(comp))
         if witness is not None:
             return FilterResult(False, witness)
     return FilterResult(True, None)

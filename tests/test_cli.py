@@ -248,6 +248,21 @@ def test_gen_families_parse_and_repeat(run):
     parse_derivation(out)
 
 
+def test_usage_errors_are_one_line(run):
+    for argv, needle in (
+        (["recognize", "-", "--budget", "x"], "invalid int value"),
+        (["frob"], "invalid choice"),
+        (["recognize"], "required: graph"),
+    ):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and needle in err
+        assert err.count("\n") == 1
+    with pytest.raises(SystemExit) as exit_info:
+        run(["recognize", "--help"])
+    assert exit_info.value.code == 0
+
+
 def test_gen_errors(run):
     assert run(["gen", "wheel", "6"])[0] == 2
     assert run(["gen", "bogus"])[0] == 2

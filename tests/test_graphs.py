@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 import pytest
 
 from burling.catalog import triangle_free_graphs
-from burling.errors import BudgetExceededError, ParseError
+from burling.errors import ParseError
 from burling.generators import gen_theta, gen_wheel
 from burling.graphs import (
     Graph,
     OrientedGraph,
     enumerate_holes,
-    hole_arcs,
     is_hole,
     parse_graph,
     serialize_graph,
@@ -143,17 +142,3 @@ def test_holes_match_networkx_chordless_cycles():
                 for rest in permutations(subset[1:]):
                     seq = (subset[0],) + rest
                     assert is_hole(g, seq) == (_canonical_cycle(seq) in expected)
-
-
-def test_enumerate_holes_budget():
-    big = gen_wheel(17, {0, 2, 4})
-    with pytest.raises(BudgetExceededError):
-        enumerate_holes(big)
-    assert enumerate_holes(big, budget=18)
-
-
-def test_hole_arcs():
-    g = OrientedGraph("abcd", [("a", "b"), ("a", "d"), ("c", "b"), ("c", "d")])
-    hole = enumerate_holes(g.underlying())[0]
-    arcs = hole_arcs(g, hole)
-    assert sorted(arcs) == [("a", "b"), ("a", "d"), ("c", "b"), ("c", "d")]

@@ -1,9 +1,12 @@
+from itertools import combinations
+
 from hypothesis import given, settings
 import pytest
 
+from burling.catalog import acyclic_orientations, triangle_free_graphs
 from burling.errors import BudgetExceededError, ValidationError
-from burling.generators import gen_figure
-from burling.graphs import Graph, OrientedGraph, underlying
+from burling.generators import FIGURES, gen_figure
+from burling.graphs import Graph, OrientedGraph, enumerate_holes, underlying
 from burling.sequential import (
     EMPTY,
     SequentialDecomposition,
@@ -19,7 +22,8 @@ from burling.sequential import (
     tree_from_seq,
     validate_decomposition,
 )
-from burling.trees import derive
+from burling.structure import chandelier_pivot_candidates
+from burling.trees import Derivation, derive
 
 from .strategies import derivations
 
@@ -153,6 +157,34 @@ def test_derivable_orientations_square():
 def test_derivable_orientations_triangle_empty():
     triangle = Graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     assert list(derivable_orientations(triangle)) == []
+
+
+def _figure_graphs():
+    for name in sorted(FIGURES):
+        figure = gen_figure(name)
+        yield underlying(derive(figure) if isinstance(figure, Derivation) else figure)
+
+
+def test_derivable_orientations_match_brute_force():
+    """The arc-map checks keep exactly the acyclic orientations with stable
+    out-neighborhoods and every hole chandelier-oriented, in edge order."""
+    for g in triangle_free_graphs(6) + list(_figure_graphs()):
+        edges = sorted(g.edges)
+        holes = enumerate_holes(g)
+        expected = []
+        for o in acyclic_orientations(g):
+            if any(
+                g.has_edge(v, w)
+                for u in o.vertices
+                for v, w in combinations(o.out_neighbors(u), 2)
+            ):
+                continue
+            if all(chandelier_pivot_candidates(o, h) for h in holes):
+                expected.append(o)
+        expected.sort(key=lambda o: [(b, a) in o.arcs for a, b in edges])
+        got = list(derivable_orientations(g))
+        assert [sorted(o.arcs) for o in got] == [sorted(o.arcs) for o in expected]
+        assert all(o.holes == g.holes == tuple(holes) for o in got)
 
 
 def test_serialize_sequential_golden():

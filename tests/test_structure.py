@@ -13,7 +13,6 @@ from burling.structure import (
     full_star_cutsets,
     in_tree_leaves,
     is_in_forest,
-    is_in_star,
     is_in_tree,
     is_luxury_chandelier,
     is_oriented_chandelier,
@@ -68,11 +67,9 @@ def test_in_tree_predicates():
     path = OrientedGraph("abc", [("a", "b"), ("b", "c")])
     assert is_in_tree(path)
     assert is_in_forest(path)
-    assert not is_in_star(path)
     assert in_tree_leaves(path) == frozenset("a")
 
     star = OrientedGraph("abc", [("a", "c"), ("b", "c")])
-    assert is_in_star(star)
     assert in_tree_leaves(star) == frozenset("ab")
 
     out2 = OrientedGraph("abc", [("a", "b"), ("a", "c")])
