@@ -144,17 +144,43 @@ def triangle_free_graphs(max_vertices: int = 6) -> list:
 
 
 def acyclic_orientations(g: Graph):
-    """Every acyclic orientation of g, in a fixed order."""
+    """Every acyclic orientation of g, in a fixed order: by the bitmask
+    whose bit i reverses the i-th edge in sorted order, ascending.
+
+    Edges are oriented from the last to the first, so an arc that closes
+    a directed cycle prunes every orientation extending it unbuilt.
+    """
     edges = sorted(g.edges)
     verts = sorted(g.vertices)
-    for bits in range(1 << len(edges)):
-        arcs = [
-            (u, v) if not bits >> i & 1 else (v, u)
-            for i, (u, v) in enumerate(edges)
-        ]
-        oriented = OrientedGraph(verts, arcs)
-        if oriented.topological_order() is not None:
-            yield oriented
+    outs = {v: set() for v in verts}
+    arcs = [None] * len(edges)
+
+    def reaches(a, b):
+        seen = {a}
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            if x == b:
+                return True
+            for y in outs[x] - seen:
+                seen.add(y)
+                stack.append(y)
+        return False
+
+    def place(i):
+        if i < 0:
+            yield OrientedGraph(verts, arcs)
+            return
+        u, v = edges[i]
+        for a, b in ((u, v), (v, u)):
+            if reaches(b, a):
+                continue
+            outs[a].add(b)
+            arcs[i] = (a, b)
+            yield from place(i - 1)
+            outs[a].discard(b)
+
+    yield from place(len(edges) - 1)
 
 
 def derivable_by_tree_search(g: OrientedGraph, max_tree_vertices: int = 13):

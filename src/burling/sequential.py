@@ -13,6 +13,7 @@ non-oriented input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .errors import BudgetExceededError, ValidationError
 from .graphs import Graph, OrientedGraph
@@ -120,11 +121,19 @@ def realizes(g: OrientedGraph, sd: SequentialDecomposition) -> bool:
 class _Searcher:
     """Backtracking search over layered decompositions, on bitmasks.
 
-    Candidate bases are enumerated smallest-first; vertices outside the
-    base split into weak components whose owner (the base vertex whose
-    block absorbs them) is forced by link arcs and by incoming chains.
-    Components nothing points at are independent subproblems, attached
-    to the smallest base vertex.  Memoized on (region, depth, chains).
+    A base has no arc into it from the rest of its region, so candidate
+    bases are the non-empty subsets of the region closed under in-region
+    predecessors, generated smallest-first in (popcount, mask) order.
+    Vertices outside the base split into weak components whose owner
+    (the base vertex whose block absorbs them) is forced by link arcs
+    and by incoming chains.  Components nothing points at are
+    independent subproblems, attached to the smallest base vertex.
+    Memoized on (region, depth, chains).
+
+    `stats["subsets"]` adds up, over the searched regions, the position
+    reached in the (popcount, mask) order of all subsets of the region:
+    the accepted base's rank plus one, or every subset when none is
+    accepted.  `stats["bases"]` counts the bases actually tried.
     """
 
     def __init__(self, g: OrientedGraph):
@@ -142,7 +151,7 @@ class _Searcher:
             self.adj_mask[iv] |= 1 << iu
         self.full = (1 << n) - 1
         self.memo = {}
-        self.stats = {"subsets": 0, "calls": 0}
+        self.stats = {"subsets": 0, "calls": 0, "bases": 0}
 
     def vertices_of(self, mask):
         return [self.order[i] for i in _bits(mask)]
@@ -158,7 +167,7 @@ class _Searcher:
     def _is_in_forest(self, s) -> bool:
         # out-degree <= 1 everywhere makes underlying cycles directed ones
         for i in _bits(s):
-            if bin(self.out_mask[i] & s).count("1") > 1:
+            if _popcount(self.out_mask[i] & s) > 1:
                 return False
         state = {}
         for start in _bits(s):
@@ -213,27 +222,42 @@ class _Searcher:
             return EMPTY if not chains else None
         if depth <= 0:
             return None
-        for s in _subsets_ascending(region):
-            self.stats["subsets"] += 1
-            if s == 0:
-                continue
+        for s in self._closed_subsets(region):
+            self.stats["bases"] += 1
             candidate = self._try_base(region, depth, chains, s)
             if candidate is not None:
+                self.stats["subsets"] += _rank(region, s) + 1
                 return candidate
+        self.stats["subsets"] += 1 << _popcount(region)
         return None
 
+    def _closed_subsets(self, region):
+        """The non-empty subsets of region closed under in-region
+        predecessors, in (popcount, mask) order, one size at a time: each
+        one of size p + 1 is one of size p plus a vertex whose in-region
+        predecessors all lie in it."""
+        preds = {i: self.in_mask[i] & region for i in _bits(region)}
+        level = [0]
+        while level:
+            grown = set()
+            for s in level:
+                for i in _bits(region & ~s):
+                    if not preds[i] & ~s:
+                        grown.add(s | 1 << i)
+            level = sorted(grown)
+            yield from level
+
     def _try_base(self, region, depth, chains, s):
+        """The decomposition of region with base s, or None; s is closed
+        under in-region predecessors."""
         rest = region & ~s
-        for i in _bits(s):
-            if self.in_mask[i] & region & ~s:
-                return None  # arcs into the base from outside it
         if not self._is_in_forest(s):
             return None
         for i in _bits(s):
             if not self.out_mask[i] & s and self.out_mask[i] & region:
                 return None  # base sinks must be sinks of the region
         for chain in chains:
-            if bin(chain & s).count("1") != 1:
+            if _popcount(chain & s) != 1:
                 return None
 
         comps = self._components(rest)
@@ -311,16 +335,21 @@ def _bits(mask):
         mask &= ~low
 
 
-def _subsets_ascending(mask):
-    subs = []
-    s = mask
-    while True:
-        subs.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & mask
-    subs.sort(key=lambda m: (bin(m).count("1"), m))
-    return subs
+def _popcount(mask):
+    return bin(mask).count("1")
+
+
+def _rank(region, s):
+    """Position of s among all subsets of region in (popcount, mask) order:
+    the subsets of smaller size, then the colex rank of s among its size."""
+    r = _popcount(region)
+    rank = sum(comb(r, j) for j in range(_popcount(s)))
+    taken = 0
+    for c, i in enumerate(_bits(region)):
+        if s >> i & 1:
+            taken += 1
+            rank += comb(c, taken)
+    return rank
 
 
 def _merge(parts):
@@ -484,7 +513,9 @@ def _build_level(sd: SequentialDecomposition, b: _TreeBuilder, root):
 def nobility_oriented(g: OrientedGraph, budget: int = EXACT_BUDGET_DEFAULT):
     """Smallest decomposition depth realizing g, or None when g is not
     derivable from any Burling tree; graphs that fail the
-    `exact_searcher` guard are None without searching."""
+    `exact_searcher` guard are None without searching.  Each weak
+    component is searched on its own, and g's nobility is the largest of
+    theirs."""
     if len(g.vertices) > budget:
         raise BudgetExceededError(
             f"exact search limited to {budget} vertices, got {len(g.vertices)}"
@@ -492,11 +523,15 @@ def nobility_oriented(g: OrientedGraph, budget: int = EXACT_BUDGET_DEFAULT):
     searcher = exact_searcher(g)
     if searcher is None:
         return None
-    for k in range(len(g.vertices) + 1):
-        found = searcher.search(searcher.full, k, frozenset())
-        if found is not None:
-            return k
-    return None
+    # a disconnected graph's least depth is the largest over its weak
+    # components, and a search that succeeds at depth k succeeds above it
+    k = 0
+    for comp in searcher._components(searcher.full):
+        while searcher.search(comp, k, frozenset()) is None:
+            if k >= _popcount(comp):
+                return None
+            k += 1
+    return k
 
 
 def derivable_orientations(g: Graph):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 from burling.catalog import (
     acyclic_orientations,
@@ -74,6 +75,20 @@ def test_acyclic_orientations():
     ]
     triangle = Graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     assert len(list(acyclic_orientations(triangle))) == 6
+
+
+def test_acyclic_orientations_match_bitmask_order():
+    """The pruned enumeration yields the acyclic members of the plain
+    bitmask enumeration, bit i reversing the i-th sorted edge, in order."""
+    for g in triangle_free_graphs(6) + [Graph("abcd", combinations("abcd", 2))]:
+        edges = sorted(g.edges)
+        expected = []
+        for bits in range(1 << len(edges)):
+            arcs = [(v, u) if bits >> i & 1 else (u, v) for i, (u, v) in enumerate(edges)]
+            o = OrientedGraph(sorted(g.vertices), arcs)
+            if o.topological_order() is not None:
+                expected.append(sorted(o.arcs))
+        assert [sorted(o.arcs) for o in acyclic_orientations(g)] == expected
 
 
 def test_tree_search_finds_the_square():

@@ -1,16 +1,25 @@
+import random
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 import pytest
 
-from burling.catalog import acyclic_orientations, triangle_free_graphs
+from burling.catalog import (
+    acyclic_orientations,
+    in_forests,
+    random_derivation,
+    triangle_free_graphs,
+)
 from burling.errors import BudgetExceededError, ValidationError
 from burling.generators import FIGURES, gen_figure
 from burling.graphs import Graph, OrientedGraph, enumerate_holes, underlying
 from burling.sequential import (
     EMPTY,
     SequentialDecomposition,
+    _rank,
+    _Searcher,
     derivable_orientations,
+    exact_searcher,
     find_sequential,
     is_chain,
     nobility,
@@ -221,3 +230,123 @@ def test_seq_round_trip(d):
 def test_seq_depth_is_searchable(d):
     sd = seq_from_tree(d)
     assert find_sequential(derive(d), sd.depth) is not None
+
+
+def _subsets_ascending(mask):
+    """Every subset of mask, the empty one included, in (popcount, mask) order."""
+    subs = []
+    s = mask
+    while True:
+        subs.append(s)
+        if s == 0:
+            break
+        s = (s - 1) & mask
+    subs.sort(key=lambda m: (bin(m).count("1"), m))
+    return subs
+
+
+def _closed(searcher, region, s):
+    return all(
+        not searcher.in_mask[i] & region & ~s
+        for i in range(len(searcher.order))
+        if s >> i & 1
+    )
+
+
+def _closed_brute_force(searcher, region):
+    return [s for s in _subsets_ascending(region) if s and _closed(searcher, region, s)]
+
+
+def test_closed_subsets_match_brute_force_on_census():
+    for g in triangle_free_graphs(6):
+        for o in acyclic_orientations(g):
+            searcher = _Searcher(o)
+            for region in [searcher.full] + [searcher.full & ~(1 << i) for i in range(len(o))]:
+                got = list(searcher._closed_subsets(region))
+                assert got == _closed_brute_force(searcher, region)
+
+
+@st.composite
+def dag_regions(draw):
+    """A random DAG on v0..v{n-1}, arcs following a drawn vertex ranking,
+    and a region of it as a mask."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    rank = draw(st.permutations(range(n)))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    arcs = [(f"v{rank[i]}", f"v{rank[j]}") for (i, j), c in zip(pairs, chosen) if c]
+    region = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    return OrientedGraph([f"v{i}" for i in range(n)], arcs), region
+
+
+@settings(max_examples=150, deadline=None)
+@given(dag_regions())
+def test_closed_subsets_match_brute_force_on_dags(case):
+    g, region = case
+    searcher = _Searcher(g)
+    assert list(searcher._closed_subsets(region)) == _closed_brute_force(searcher, region)
+
+
+def test_rank_is_position_in_subset_order():
+    for region in (0, 0b1, 0b101101, 0b111111, 0b1000010010001, (1 << 10) - 1):
+        for position, s in enumerate(_subsets_ascending(region)):
+            assert _rank(region, s) == position
+
+
+class _BruteForceSearcher(_Searcher):
+    """The search trying every subset of the region in (popcount, mask)
+    order and counting each one."""
+
+    def _search(self, region, depth, chains):
+        if region == 0:
+            return EMPTY if not chains else None
+        if depth <= 0:
+            return None
+        for s in _subsets_ascending(region):
+            self.stats["subsets"] += 1
+            if s and _closed(self, region, s):
+                candidate = self._try_base(region, depth, chains, s)
+                if candidate is not None:
+                    return candidate
+        return None
+
+
+def _census_orientations():
+    for g in triangle_free_graphs(6):
+        yield from derivable_orientations(g)
+
+
+def _derived_graphs(count=100):
+    for seed in range(count):
+        yield derive(random_derivation(random.Random(seed), 14))
+
+
+def test_search_and_subset_count_match_brute_force():
+    feedback = derivable_orientations(gen_figure("feedback"))
+    for g in [*_census_orientations(), *_derived_graphs(40), *feedback]:
+        fast, slow = _Searcher(g), _BruteForceSearcher(g)
+        for depth in range(len(g) + 1):
+            found = fast.search(fast.full, depth, frozenset())
+            expected = slow.search(slow.full, depth, frozenset())
+            assert (found is None) == (expected is None)
+            if found is not None:
+                assert serialize_sequential(found) == serialize_sequential(expected)
+        assert fast.stats["subsets"] == slow.stats["subsets"]
+        assert fast.stats["bases"] <= fast.stats["subsets"]
+
+
+def _nobility_whole_graph(g):
+    """Least depth at which the search over all of g succeeds."""
+    searcher = exact_searcher(g)
+    if searcher is None:
+        return None
+    for k in range(len(g) + 1):
+        if searcher.search(searcher.full, k, frozenset()) is not None:
+            return k
+    return None
+
+
+def test_nobility_by_components_matches_whole_graph_search():
+    graphs = [*in_forests(6), *_census_orientations(), *_derived_graphs()]
+    for g in graphs:
+        assert nobility_oriented(g, budget=len(g)) == _nobility_whole_graph(g)
